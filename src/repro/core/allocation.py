@@ -22,7 +22,7 @@ from repro.core.network_builder import BuiltNetwork
 from repro.core.problem import AllocationProblem
 from repro.energy.report import EnergyReport
 from repro.exceptions import AllocationError, GraphError
-from repro.flow.decompose import decompose_into_paths
+from repro.flow.decompose import decompose_into_arc_ids
 from repro.flow.graph import FlowResult
 from repro.lifetimes.intervals import Segment
 
@@ -159,16 +159,17 @@ def decompose_chains(
     are the variables one register holds over time.
     """
     try:
-        paths = decompose_into_paths(flow, built.source, built.sink)
+        paths = decompose_into_arc_ids(flow, built.source, built.sink)
     except GraphError as exc:
         raise AllocationError(f"invalid allocation flow: {exc}") from exc
+    payload = built.network.arc_data
     chains: list[list[Segment]] = []
     bypass_units = 0
     for path in paths:
         chain = [
-            arc.data[1]
-            for arc in path
-            if arc.data and arc.data[0] == "segment"
+            data[1]
+            for data in map(payload, path)
+            if data and data[0] == "segment"
         ]
         if chain:
             chains.append(chain)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import AllocationError
-from repro.flow.decompose import decompose_into_paths
+from repro.flow.decompose import decompose_into_arc_ids
 from repro.flow.graph import FlowNetwork
 from repro.flow.lower_bounds import solve as flow_solve
 from repro.lifetimes.intervals import Lifetime, density_profile
@@ -161,13 +161,13 @@ def optimal_interval_chains(
                         data=("bypass",))
 
     result = flow_solve(network, source, sink, chain_count)
-    paths = decompose_into_paths(result, source, sink)
+    paths = decompose_into_arc_ids(result, source, sink)
     chains: list[list[Lifetime]] = []
     for path in paths:
         chain = [
-            arc.data[1]
-            for arc in path
-            if arc.data and arc.data[0] == "interval"
+            data[1]
+            for data in map(network.arc_data, path)
+            if data and data[0] == "interval"
         ]
         if chain:
             chains.append(chain)

@@ -138,7 +138,6 @@ class BuiltNetwork:
             ``("handoff", src|None, dst|None)`` with ``None`` meaning
             ``s``/``t``, and ``("bypass",)``).
         source / sink: Flow terminals.
-        segment_arcs: Segment key → its ``w -> r`` arc.
         roles: Arc-id role arrays used by :func:`recost_network`.
         banks: Per-bank era chains when the instance carries a
             multi-bank :class:`~repro.core.storage.StorageSpec` — the
@@ -152,9 +151,21 @@ class BuiltNetwork:
     network: FlowNetwork
     source: Hashable
     sink: Hashable
-    segment_arcs: dict[tuple[str, int], Arc]
     roles: ArcRoles | None = None
     banks: tuple[BankStructure, ...] | None = None
+
+    @property
+    def segment_arcs(self) -> dict[tuple[str, int], Arc]:
+        """Segment key → its ``w -> r`` arc, materialised on access (the
+        solve path never needs it; segment arcs are ids
+        ``[0, roles.num_segments)``)."""
+        if self.roles is None:
+            raise GraphError("segment_arcs requires a network built with roles")
+        network = self.network
+        return {
+            network.arc_data(i)[1].key: network.arc(i)
+            for i in range(self.roles.num_segments)
+        }
 
     @property
     def flow_value(self) -> int:
@@ -213,7 +224,6 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
         lowers=lowers,
         data=[("segment", seg) for seg in segments],
     )
-    segment_arcs = {seg.key: network.arc(i) for i, seg in enumerate(segments)}
 
     # Intra-variable arcs between consecutive segments.  The flattened
     # order keeps each variable's segments contiguous, so consecutive
@@ -310,9 +320,7 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
     if obs.enabled():
         obs.gauge("network.density_regions", len(problem.density_regions))
     roles = ArcRoles(k, intra_pairs, handoff_src, handoff_dst, bypass_arc)
-    return BuiltNetwork(
-        problem, network, SOURCE, SINK, segment_arcs, roles, banks
-    )
+    return BuiltNetwork(problem, network, SOURCE, SINK, roles, banks)
 
 
 def _handoff_pairs(
@@ -471,9 +479,6 @@ def recost_network(built: BuiltNetwork, problem: AllocationProblem) -> BuiltNetw
     # are already zero-initialised in the vector path.
     network.set_costs(costs)
     built.problem = problem
-    built.segment_arcs = {
-        seg.key: network.arc(i) for i, seg in enumerate(segments)
-    }
     obs.count("network.recosts")
     return built
 

@@ -14,11 +14,14 @@ Storage layout (see DESIGN.md, "Performance model"):
   (``tails``/``heads``/``capacities``/``lowers`` as ``int64``, ``costs``
   as ``float64``), all indexed by arc id, which is what the vectorized
   kernel (:mod:`repro.flow.kernel`) and the bulk builder consume;
+* the whole solve path reads the arrays: the kernel, the lower-bound
+  transform and its recovery, flow validation and path decomposition
+  (which reads payloads through :meth:`FlowNetwork.arc_data`);
 * the classic object API (:attr:`FlowNetwork.arcs`,
-  :meth:`FlowNetwork.arcs_from`, ...) is a thin compatibility facade:
-  :class:`Arc` dataclasses are materialised lazily and cached, so
-  validators, decomposers, lint rules and certificates keep working
-  unchanged while the hot solver paths never touch an object.
+  :meth:`FlowNetwork.arcs_from`, ...) is a facade of lazily materialised,
+  cached :class:`Arc` dataclasses kept for the cold readers — lint rules,
+  proofs, certificates, oracles, the LP check and DOT export — until
+  they move onto the arrays too.
 
 Nodes are arbitrary hashable identifiers supplied by the caller; internally
 each node receives a dense integer index (``node_index``) and the arrays

@@ -25,6 +25,11 @@ The transformation is exposed as :func:`transform_lower_bounds` so that
 independent solvers (e.g. the cycle-cancelling cross-check used by
 :mod:`repro.verify.differential`) can be run on the very same transformed
 instance and mapped back with :meth:`LowerBoundTransform.recover`.
+
+Both directions run over :meth:`~repro.flow.graph.FlowNetwork.arrays`: the
+transform is one bulk append of the original arcs (under their original
+ids) plus one of the super arcs, with excesses from ``np.bincount``, and
+recovery adds the lower-bound column back onto the first ``m`` inner flows.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.exceptions import InfeasibleFlowError
+import numpy as np
+
+from repro.exceptions import GraphError, InfeasibleFlowError
 from repro.flow.graph import FlowNetwork, FlowResult
 from repro.flow.ssp import solve_min_cost_flow
 from repro.flow.warm_start import WarmStartCache, solve_warm
@@ -56,8 +63,9 @@ class LowerBoundTransform:
         original: The lower-bounded input network.
         source / sink: Terminals of the original fixed-value problem.
         flow_value: The fixed source→sink value of the original problem.
-        network: The transformed network (no lower bounds; original arcs
-            carry their original index in ``data``).
+        network: The transformed network (no lower bounds).  Its first
+            ``original.num_arcs`` arcs are the original arcs under their
+            original ids (``data`` repeats the id); the super arcs follow.
         super_source / super_sink: Terminals of the transformed problem.
         demand: Flow value the transformed problem must ship (the total
             excess); shipping less means the original bounds are
@@ -87,17 +95,15 @@ class LowerBoundTransform:
             InfeasibleFlowError: If the recovered flow does not ship
                 :attr:`flow_value` units (the bounds are unsatisfiable).
         """
-        flows = [0] * self.original.num_arcs
-        for t_arc in self.network.arcs:
-            if isinstance(t_arc.data, int):
-                flows[t_arc.data] = inner.flows[t_arc.index]
-        for arc in self.original.arcs:
-            flows[arc.index] += arc.lower
-        result = FlowResult(self.original, flows, self.flow_value)
-        _check_value(
-            result, self.original, self.source, self.sink, self.flow_value
+        lowers = self.original.arrays().lowers
+        flows = (
+            np.asarray(inner.flows[: lowers.shape[0]], dtype=np.int64)
+            + lowers
         )
-        return result
+        _check_value(
+            self.original, flows, self.source, self.sink, self.flow_value
+        )
+        return FlowResult(self.original, flows.tolist(), self.flow_value)
 
 
 def transform_lower_bounds(
@@ -118,34 +124,56 @@ def transform_lower_bounds(
         The :class:`LowerBoundTransform` describing the equivalent
         plain minimum-cost flow problem.
     """
-    excess: dict[Hashable, int] = {}
+    if not network.has_node(source) or not network.has_node(sink):
+        raise GraphError("source or sink is not a node of the network")
+    arrays = network.arrays()
+    n = network.num_nodes
     transformed = FlowNetwork()
     for node in network.nodes:
         transformed.add_node(node)
-    for arc in network.arcs:
-        transformed.add_arc(
-            arc.tail,
-            arc.head,
-            capacity=arc.capacity - arc.lower,
-            cost=arc.cost,
-            data=arc.index,
-        )
-        if arc.lower:
-            excess[arc.head] = excess.get(arc.head, 0) + arc.lower
-            excess[arc.tail] = excess.get(arc.tail, 0) - arc.lower
-    # Virtual t -> s arc carrying exactly flow_value units.
-    excess[source] = excess.get(source, 0) + flow_value
-    excess[sink] = excess.get(sink, 0) - flow_value
-
     transformed.add_node(_SUPER_SOURCE)
     transformed.add_node(_SUPER_SINK)
-    demand = 0
-    for node, value in excess.items():
-        if value > 0:
-            transformed.add_arc(_SUPER_SOURCE, node, capacity=value, cost=0.0)
-            demand += value
-        elif value < 0:
-            transformed.add_arc(node, _SUPER_SINK, capacity=-value, cost=0.0)
+    # Original arcs keep their ids; ``data`` records that id.
+    transformed.add_arcs_indexed(
+        arrays.tails,
+        arrays.heads,
+        arrays.capacities - arrays.lowers,
+        arrays.costs,
+        data=range(network.num_arcs),
+    )
+    s = network.node_index(source)
+    t = network.node_index(sink)
+    excess = (
+        np.bincount(arrays.heads, weights=arrays.lowers, minlength=n)
+        - np.bincount(arrays.tails, weights=arrays.lowers, minlength=n)
+    ).astype(np.int64)
+    # Virtual t -> s arc carrying exactly flow_value units.
+    excess[s] += flow_value
+    excess[t] -= flow_value
+    # Super arcs follow the order in which the nodes first pick up an
+    # excess: head then tail of each lowered arc, then source, then sink.
+    # Warm-start topology keys and SSP tie-breaking depend on this order.
+    lowered = np.flatnonzero(arrays.lowers)
+    touched = np.concatenate(
+        (
+            np.column_stack(
+                (arrays.heads[lowered], arrays.tails[lowered])
+            ).ravel(),
+            np.array([s, t], dtype=np.int64),
+        )
+    )
+    _, first = np.unique(touched, return_index=True)
+    order = touched[np.sort(first)]
+    order = order[excess[order] != 0]
+    value = excess[order]
+    feeds = value > 0
+    transformed.add_arcs_indexed(
+        np.where(feeds, n, order),
+        np.where(feeds, order, n + 1),
+        np.abs(value),
+        np.zeros(order.shape[0]),
+    )
+    demand = int(value[feeds].sum())
     return LowerBoundTransform(
         original=network,
         source=source,
@@ -210,15 +238,26 @@ def solve_with_lower_bounds(
 
 
 def _check_value(
-    result: FlowResult,
     network: FlowNetwork,
+    flows: np.ndarray,
     source: Hashable,
     sink: Hashable,
     flow_value: int,
 ) -> None:
-    """Sanity-check the recovered flow actually ships *flow_value* units."""
-    net_out = result.outflow(source) - result.inflow(source)
-    net_in = result.inflow(sink) - result.outflow(sink)
+    """Sanity-check the recovered *flows* actually ship *flow_value* units."""
+    arrays = network.arrays()
+
+    def through(node: Hashable) -> tuple[int, int]:
+        index = network.node_index(node)
+        return (
+            int(flows[arrays.tails == index].sum()),
+            int(flows[arrays.heads == index].sum()),
+        )
+
+    source_out, source_in = through(source)
+    sink_out, sink_in = through(sink)
+    net_out = source_out - source_in
+    net_in = sink_in - sink_out
     if net_out != flow_value or net_in != flow_value:
         raise InfeasibleFlowError(
             f"recovered flow ships {net_out}/{net_in} units, "

@@ -20,7 +20,8 @@ trajectory tooling (the ``BENCH_*.json`` files).  Version ``v1`` layout::
     }
 
 ``stages`` flattens the span tree into slash-joined paths for quick
-consumption; the full tree stays under ``trace``.  Reports are pure data —
+consumption, summing the durations of spans that share a path; the full
+tree stays under ``trace``.  Reports are pure data —
 they round-trip through :func:`json.dumps` / :func:`json.loads` unchanged.
 """
 
@@ -76,7 +77,7 @@ def build_report(
         "workload": workload,
         "params": dict(params or {}),
         "wall_time_s": wall_time_s,
-        "stages": {path: duration for path, duration in flatten_spans(trace)},
+        "stages": _stage_totals(trace),
         "trace": trace_to_dict(trace),
     }
     if allocation is not None:
@@ -90,6 +91,15 @@ def build_report(
             "total_energy": allocation.report.total_energy,
         }
     return report
+
+
+def _stage_totals(trace: TraceCollector) -> dict[str, float]:
+    """Total duration per span path; repeated paths (a stage run once
+    per job or per sweep point) are summed, not overwritten."""
+    stages: dict[str, float] = {}
+    for path, duration in flatten_spans(trace):
+        stages[path] = stages.get(path, 0.0) + duration
+    return stages
 
 
 def profile_block(

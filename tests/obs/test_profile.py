@@ -72,6 +72,21 @@ def test_build_report_defaults_wall_time_to_root_sum():
     assert "allocation" not in report
 
 
+def test_build_report_sums_repeated_span_paths():
+    with obs.collect() as trace:
+        for _ in range(2):
+            with obs.span("job"):
+                with obs.span("solve"):
+                    pass
+    first, second = trace.roots
+    report = build_report(workload="w", trace=trace)
+    assert report["stages"]["job"] == first.duration + second.duration
+    assert report["stages"]["job/solve"] == (
+        first.children[0].duration + second.children[0].duration
+    )
+    assert report["wall_time_s"] == report["stages"]["job"]
+
+
 def test_profiling_leaves_tracing_disabled():
     profile_block(fir_filter(3), register_count=2)
     assert not obs.enabled()
