@@ -1,10 +1,13 @@
-"""Residual-network representation shared by the flow solvers.
+"""List-based residual network for the pure-Python flow code.
+
+Used by :func:`repro.flow.ssp.max_flow_value` and by the per-arc oracle
+:mod:`repro.flow.reference`; the SSP kernel and the cycle-cancelling
+solver keep their own numpy residual columns.
 
 The residual network stores, for every arc of the original network, a
 forward residual arc (remaining capacity, original cost) and a backward
 residual arc (flow that can be pushed back, negated cost).  Both are kept in
-flat parallel arrays so Dijkstra / Bellman-Ford scans stay cheap in pure
-Python.
+flat parallel lists so per-arc scans stay cheap in pure Python.
 
 Residual arc ``2*i`` is the forward image of original arc ``i`` and residual
 arc ``2*i + 1`` is its backward image; ``rid ^ 1`` is always the partner.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AllocationProblem, allocate
+from repro.core import AllocationProblem, SolveOptions, allocate
 from repro.core.pipeline import allocate_block, allocate_schedule
 from repro.energy import MemoryConfig, PairwiseSwitchingModel
 from repro.exceptions import LintGateError
@@ -143,7 +143,9 @@ def test_pipeline_gate_sees_schedule(rng):
     result = allocate_block(block, register_count=4, lint="warning")
     assert result.allocation.objective == result.total_energy
     schedule = list_schedule(block)
-    result = allocate_schedule(schedule, register_count=4, lint="error")
+    result = allocate_schedule(
+        schedule, register_count=4, options=SolveOptions(lint="error")
+    )
     assert result.problem.register_count == 4
 
 
