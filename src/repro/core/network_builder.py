@@ -48,13 +48,14 @@ arcs, then per source segment its sink arc followed by its handoffs in
 segment order, bypass last) — golden allocations, lint walks and paper
 example tests observe identical networks.  Handoff pairs are enumerated
 per era bucket with 2-D broadcast masks and merged into the legacy
-interleaving by a single ``lexsort``; for separable energy models the arc
-costs come from :func:`repro.core.costs.separable_cost_terms` vector
-tables (per-pair Python calls remain as fallback for pair-coupled
-models).  :class:`ArcRoles` records which flattened segment produced
-every arc so :func:`recost_network` can rewrite the cost column of an
-existing network in O(arcs) array work — the warm-start sweep path —
-without re-deriving any topology.
+interleaving by a single ``lexsort``.  Every arc cost, for every energy
+model, is a lookup into one :class:`~repro.core.costs.CostTable`
+(per-segment entry/exit columns plus a per-variable-pair register-write
+table), so no arc is priced by a per-arc Python call.  :class:`ArcRoles`
+records which flattened segment produced every arc so
+:func:`recost_network` can rewrite the cost column of an existing
+network from a fresh table in O(arcs) array work — the warm-start sweep
+path — without re-deriving any topology.
 """
 
 from __future__ import annotations
@@ -64,12 +65,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.core.costs import (
-    handoff_cost,
-    intra_cost,
-    segment_cost,
-    separable_cost_terms,
-)
+from repro.core.costs import CostTable, cost_table, variable_ids
 from repro.core.problem import AllocationProblem
 from repro.core.storage import BankStructure, bank_structures
 from repro.exceptions import GraphError
@@ -197,12 +193,12 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
 
     starts = np.array([seg.start for seg in segments], dtype=np.int64)
     ends = np.array([seg.end for seg in segments], dtype=np.int64)
-    var_of: dict[str, int] = {}
-    var_ids = np.array(
-        [var_of.setdefault(seg.name, len(var_of)) for seg in segments],
-        dtype=np.int64,
+    var_ids = variable_ids(segments)
+    handoff_src, handoff_dst = _handoff_pairs(
+        problem, starts, ends, var_ids, segments
     )
-    terms = separable_cost_terms(model, segments)
+    table = cost_table(model, segments, var_ids, handoff_src, handoff_dst)
+    _count_cost_arcs(table, k, len(handoff_src))
 
     # Segment arcs (arc ids [0, k), aligned with flattened positions).
     ones = np.ones(k, dtype=np.int64)
@@ -210,17 +206,11 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
         [1 if problem.is_forced(seg) else 0 for seg in segments],
         dtype=np.int64,
     )
-    if terms is not None:
-        seg_costs = terms.segment
-    else:
-        seg_costs = np.array(
-            [segment_cost(model, seg) for seg in segments], dtype=np.float64
-        )
     network.add_arcs_indexed(
         w_idx,
         r_idx,
         ones,
-        seg_costs,
+        table.segment,
         lowers=lowers,
         data=[("segment", seg) for seg in segments],
     )
@@ -228,6 +218,7 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
     # Intra-variable arcs between consecutive segments.  The flattened
     # order keeps each variable's segments contiguous, so consecutive
     # positions with equal variable id are exactly the legacy pairs.
+    # They cost nothing (``intra_cost`` is identically zero).
     intra_pairs = (
         np.nonzero(var_ids[:-1] == var_ids[1:])[0]
         if k
@@ -237,42 +228,17 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
         r_idx[intra_pairs],
         w_idx[intra_pairs + 1],
         np.ones(len(intra_pairs), dtype=np.int64),
-        np.array(
-            [
-                intra_cost(model, segments[i], segments[i + 1])
-                for i in intra_pairs.tolist()
-            ],
-            dtype=np.float64,
-        ),
+        np.zeros(len(intra_pairs), dtype=np.float64),
         data=[
             ("intra", segments[i], segments[i + 1])
             for i in intra_pairs.tolist()
         ],
     )
 
-    handoff_src, handoff_dst = _handoff_pairs(
-        problem, starts, ends, var_ids, segments
-    )
     h_tails = np.where(handoff_src >= 0, r_idx[handoff_src], 0)
     h_heads = np.where(handoff_dst >= 0, w_idx[handoff_dst], 1)
-    if terms is not None:
-        h_costs = np.where(
-            handoff_src >= 0, terms.exit[handoff_src], 0.0
-        ) + np.where(handoff_dst >= 0, terms.enter[handoff_dst], 0.0)
-        obs.count("network.vectorized_cost_arcs", k + len(handoff_src))
-    else:
-        h_costs = np.array(
-            [
-                handoff_cost(
-                    model,
-                    segments[s] if s >= 0 else None,
-                    segments[d] if d >= 0 else None,
-                )
-                for s, d in zip(handoff_src.tolist(), handoff_dst.tolist())
-            ],
-            dtype=np.float64,
-        )
-        obs.count("network.fallback_cost_arcs", k + len(handoff_src))
+    h_costs = table.handoff_costs(handoff_src, handoff_dst)
+
     def handoff_payload(
         offset: int,
         _src: np.ndarray = handoff_src,
@@ -446,41 +412,32 @@ def recost_network(built: BuiltNetwork, problem: AllocationProblem) -> BuiltNetw
             "recost_network requires an identical topology "
             "(cost-only perturbation); rebuild the network instead"
         )
-    model = problem.energy_model
     network = built.network
     costs = np.zeros(network.num_arcs, dtype=np.float64)
     k = roles.num_segments
     p = len(roles.intra_pairs)
-    terms = separable_cost_terms(model, segments)
-    if terms is not None:
-        costs[:k] = terms.segment
-        hs = roles.handoff_src
-        hd = roles.handoff_dst
-        costs[k + p : k + p + len(hs)] = np.where(
-            hs >= 0, terms.exit[hs], 0.0
-        ) + np.where(hd >= 0, terms.enter[hd], 0.0)
-    else:
-        costs[:k] = [segment_cost(model, seg) for seg in segments]
-        costs[k : k + p] = [
-            intra_cost(model, segments[i], segments[i + 1])
-            for i in roles.intra_pairs.tolist()
-        ]
-        costs[k + p : k + p + len(roles.handoff_src)] = [
-            handoff_cost(
-                model,
-                segments[s] if s >= 0 else None,
-                segments[d] if d >= 0 else None,
-            )
-            for s, d in zip(
-                roles.handoff_src.tolist(), roles.handoff_dst.tolist()
-            )
-        ]
+    hs = roles.handoff_src
+    hd = roles.handoff_dst
+    table = cost_table(
+        problem.energy_model, segments, variable_ids(segments), hs, hd
+    )
+    _count_cost_arcs(table, k, len(hs))
+    costs[:k] = table.segment
+    costs[k + p : k + p + len(hs)] = table.handoff_costs(hs, hd)
     # Intra and bypass arcs cost zero under the uniform decomposition and
-    # are already zero-initialised in the vector path.
+    # stay zero-initialised.
     network.set_costs(costs)
     built.problem = problem
     obs.count("network.recosts")
     return built
+
+
+def _count_cost_arcs(table: CostTable, segments: int, handoffs: int) -> None:
+    """Split the priced arcs between the vector-table and per-pair counters."""
+    priced = table.priced_pair_arcs
+    obs.count("network.vectorized_cost_arcs", segments + handoffs - priced)
+    if priced:
+        obs.count("network.fallback_cost_arcs", priced)
 
 
 def _era_index(problem: AllocationProblem) -> list[int]:

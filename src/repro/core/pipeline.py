@@ -152,7 +152,9 @@ def allocate_block(
     """Schedule *block* (list scheduling) and run the allocation pipeline.
 
     ``lint``/``certify`` are deprecated shims for the corresponding
-    :class:`~repro.core.options.SolveOptions` fields."""
+    :class:`~repro.core.options.SolveOptions` fields; they are folded in
+    here so the deprecation warning names the caller's line."""
+    options = resolve_options(options, {"lint": lint, "certify": certify})
     with obs.span("pipeline.schedule"):
         schedule = list_schedule(block, resources)
     return allocate_schedule(
@@ -161,8 +163,6 @@ def allocate_block(
         energy_model=energy_model,
         memory=memory,
         reallocate=reallocate,
-        lint=lint,
-        certify=certify,
         options=options,
         **problem_options,
     )

@@ -14,13 +14,17 @@ plausible ones:
   ([8]) exploit;
 * :func:`pairwise_activity_table` — the normalised activity table
   (fraction of bits flipping per pair) used by the figure-3/4 style cost
-  listings.
+  listings;
+* :func:`trace_hamming_matrix` — mean trace Hamming distance of every
+  variable pair at once, the table the activity model's arc costs read.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import EnergyModelError
 from repro.ir.values import DataVariable, hamming_distance
@@ -30,6 +34,7 @@ __all__ = [
     "correlated_trace",
     "gaussian_dsp_trace",
     "pairwise_activity_table",
+    "trace_hamming_matrix",
     "attach_traces",
 ]
 
@@ -125,6 +130,48 @@ def pairwise_activity_table(
             mean = sum(hamming_distance(a, b) for a, b in pairs) / len(pairs)
             table[(v1.name, v2.name)] = mean / max(v1.width, v2.width)
     return table
+
+
+def trace_hamming_matrix(variables: Sequence[DataVariable]) -> np.ndarray:
+    """Mean trace Hamming distance of every ordered pair of *variables*.
+
+    Entry ``[a, b]`` equals
+    :func:`~repro.ir.values.mean_trace_hamming` of ``variables[a]`` and
+    ``variables[b]`` bit for bit — the expected distance over the wider
+    width when either trace is missing, the mean over the common prefix
+    otherwise — and the diagonal is zero (a value replacing itself flips
+    no bit).  The bit counts come from the traces' bit planes, one Gram
+    product per distinct common-prefix length:
+    ``|x ^ y| = |x| + |y| - 2 |x & y|``; the 0/1 products sum integers
+    exactly in ``float64``.
+    """
+    widths = np.array([v.width for v in variables], dtype=np.float64)
+    out = np.maximum.outer(widths, widths) * 0.5
+    traced = [i for i, v in enumerate(variables) if v.trace]
+    if traced:
+        lengths = np.array([len(variables[i].trace) for i in traced])
+        samples = int(lengths.max())
+        nbytes = (max(variables[i].width for i in traced) + 7) // 8
+        raw = b"".join(
+            value.to_bytes(nbytes, "little")
+            for i in traced
+            for value in variables[i].trace
+            + (0,) * (samples - len(variables[i].trace))
+        )
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(
+            len(traced), samples * nbytes * 8
+        )
+        rows = np.array(traced)
+        common = np.minimum.outer(lengths, lengths)
+        for length in np.unique(lengths).tolist():
+            keep = lengths >= length
+            planes = bits[keep, : length * nbytes * 8].astype(np.float64)
+            ones = planes.sum(axis=1)
+            counts = ones[:, None] + ones[None, :] - 2.0 * (planes @ planes.T)
+            ii, jj = np.nonzero(common[np.ix_(keep, keep)] == length)
+            out[rows[keep][ii], rows[keep][jj]] = counts[ii, jj] / length
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def attach_traces(

@@ -65,6 +65,19 @@ def test_allocate_schedule_legacy_keywords_warn():
     assert legacy.allocation.objective == modern.allocation.objective
 
 
+def test_allocate_block_legacy_keywords_warn_at_the_caller():
+    block = kernel_block("fir", taps=4)
+    with pytest.warns(DeprecationWarning, match="lint") as caught:
+        legacy = allocate_block(block, register_count=4, lint="error")
+    assert [w.filename for w in caught] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        modern = allocate_block(
+            block, register_count=4, options=SolveOptions(lint="error")
+        )
+    assert legacy.allocation.objective == modern.allocation.objective
+
+
 def test_modern_path_emits_no_deprecation_warnings():
     problem = fig3_problem()
     with warnings.catch_warnings():
